@@ -61,6 +61,11 @@ type Fleet struct {
 	closeOnce sync.Once
 
 	// ----- loop-owned state: only the event loop may touch these -----
+	// sessions is walked in place, also by handlers that close sessions
+	// (closeSession, markDead) mid-walk. That is safe because a walk only
+	// ever sees deletions — sessions are added by handleCtrl, between
+	// events — and a map entry deleted before the walk reaches it is not
+	// produced; s.closed guards the ones already visited.
 	sessions map[uint32]*session
 	nodes    []nodeIO
 	alive    []bool
@@ -70,6 +75,11 @@ type Fleet struct {
 	runSeq   uint32 // next session id handed out by Run
 	stopped  bool   // set by the stop control message
 	cacheOn  bool
+	// ready is the reusable Post-Processing batch buffer, used as a
+	// stack: completeAndDispatch pushes a completion's newly ready
+	// instances, dispatches them — service instances complete inline and
+	// push above — and pops back to its mark.
+	ready []tsu.Ready
 
 	aliveGauge    []*obs.Gauge
 	inflightGauge []*obs.Gauge
@@ -107,7 +117,7 @@ type session struct {
 
 	leases    map[core.Instance]*lease
 	regions   map[regionKey]*trackedRegion
-	byBuf     map[string][]*trackedRegion
+	byBuf     map[string]*regionIndex
 	nodeCache []map[regionKey]uint64
 	timers    []*time.Timer
 	start     time.Time
@@ -465,7 +475,7 @@ func (f *Fleet) Close() error {
 		// the drained events channel.
 		close(f.stopCh)
 		err := errors.New("dist: fleet closed")
-		for _, s := range f.snapshotSessions() {
+		for _, s := range f.sessions {
 			f.closeSession(s, err)
 		}
 		for i, l := range f.links {
@@ -531,7 +541,7 @@ func (f *Fleet) handleEvent(ev fleetEvent) {
 		f.redispatch(ev.prog, ev.inst, ev.gen)
 	case ev.leaseTick:
 		nowT := time.Now()
-		for _, s := range f.snapshotSessions() {
+		for _, s := range f.sessions {
 			if s.closed {
 				continue
 			}
@@ -547,21 +557,11 @@ func (f *Fleet) handleEvent(ev fleetEvent) {
 	// Safety net mirroring the single-program loop's end condition: a
 	// session with no leases left and a finished TSU is done even if no
 	// ProgramDone result surfaced through this event.
-	for _, s := range f.snapshotSessions() {
+	for _, s := range f.sessions {
 		if !s.closed && len(s.leases) == 0 && s.state.Finished() {
 			f.closeSession(s, nil)
 		}
 	}
-}
-
-// snapshotSessions copies the open-session set so handlers can iterate
-// while closeSession mutates the map.
-func (f *Fleet) snapshotSessions() []*session {
-	out := make([]*session, 0, len(f.sessions))
-	for _, s := range f.sessions {
-		out = append(out, s)
-	}
-	return out
 }
 
 // openSession admits one program: builds its TSU state, validates its
@@ -616,7 +616,7 @@ func (f *Fleet) openSession(id uint32, req *OpenReq) {
 		onDone:    req.OnDone,
 		leases:    make(map[core.Instance]*lease),
 		regions:   make(map[regionKey]*trackedRegion),
-		byBuf:     make(map[string][]*trackedRegion),
+		byBuf:     make(map[string]*regionIndex),
 		nodeCache: make([]map[regionKey]uint64, f.n),
 		start:     time.Now(),
 	}
@@ -767,23 +767,43 @@ func (f *Fleet) nextAlive(from int) int {
 	return -1
 }
 
-// complete applies one completion to a session's TSU state, exporting
-// the coordinator-side work as a TSUCommand event on the fleet's
-// coordinator lane (one past the last node).
-func (f *Fleet) complete(s *session, inst core.Instance, k tsu.KernelID) tsu.Result {
-	if f.sink == nil {
-		return s.state.Complete(inst, k)
+// completeAndDispatch applies one completion to a session's TSU state
+// and dispatches the instances it readies, closing the session when the
+// program finishes. The TSU work is exported as a TSUCommand event on
+// the fleet's coordinator lane (one past the last node). The ready batch
+// lives on the f.ready stack between this call's mark and the top, so
+// the nested completions dispatch can trigger never overwrite it.
+func (f *Fleet) completeAndDispatch(s *session, inst core.Instance, k tsu.KernelID) error {
+	mark := len(f.ready)
+	defer func() { f.ready = f.ready[:mark] }()
+	var t0 time.Duration
+	if f.sink != nil {
+		t0 = f.sink.Now()
 	}
-	t0 := f.sink.Now()
-	res := s.state.Complete(inst, k)
-	f.sink.Record(obs.Event{
-		Kind:  obs.TSUCommand,
-		Lane:  f.n,
-		Inst:  inst,
-		Start: t0,
-		Dur:   f.sink.Now() - t0,
-	})
-	return res
+	var programDone bool
+	f.ready, _, programDone = s.state.CompleteInto(f.ready, inst, k)
+	if f.sink != nil {
+		f.sink.Record(obs.Event{
+			Kind:  obs.TSUCommand,
+			Lane:  f.n,
+			Inst:  inst,
+			Start: t0,
+			Dur:   f.sink.Now() - t0,
+		})
+	}
+	if programDone {
+		f.closeSession(s, nil)
+		return nil
+	}
+	for _, next := range f.ready[mark:] {
+		if err := f.dispatch(s, next); err != nil {
+			return err
+		}
+		if s.closed {
+			return nil
+		}
+	}
+	return nil
 }
 
 // buildExec assembles the Exec for an instance bound for target,
@@ -817,7 +837,12 @@ func (f *Fleet) buildExec(s *session, inst core.Instance, target int) (Exec, int
 				if tr == nil {
 					tr = &trackedRegion{key: key, ver: 1}
 					s.regions[key] = tr
-					s.byBuf[key.buffer] = append(s.byBuf[key.buffer], tr)
+					ix := s.byBuf[key.buffer]
+					if ix == nil {
+						ix = &regionIndex{}
+						s.byBuf[key.buffer] = ix
+					}
+					ix.add(tr)
 				}
 				rdata.Ver = tr.ver
 				if s.nodeCache[target][key] == tr.ver {
@@ -989,20 +1014,7 @@ func (f *Fleet) dispatch(s *session, rd tsu.Ready) error {
 		return nil
 	}
 	if s.state.IsService(rd.Inst) {
-		res := f.complete(s, rd.Inst, rd.Kernel)
-		if res.ProgramDone {
-			f.closeSession(s, nil)
-			return nil
-		}
-		for _, next := range res.NewReady {
-			if err := f.dispatch(s, next); err != nil {
-				return err
-			}
-			if s.closed {
-				return nil
-			}
-		}
-		return nil
+		return f.completeAndDispatch(s, rd.Inst, rd.Kernel)
 	}
 	owner, _ := f.nodeOf(rd.Kernel)
 	target := owner
@@ -1107,8 +1119,7 @@ func (f *Fleet) markDead(node int, reason error) {
 	nio.installed = nil
 
 	failedAt := time.Now()
-	sess := f.snapshotSessions()
-	for _, s := range sess {
+	for _, s := range f.sessions {
 		if s.closed {
 			continue
 		}
@@ -1129,7 +1140,7 @@ func (f *Fleet) markDead(node int, reason error) {
 	}
 	if f.aliveN == 0 {
 		err := fmt.Errorf("dist: all %d nodes lost; last failure: %w", f.n, f.lastLoss)
-		for _, s := range sess {
+		for _, s := range f.sessions {
 			if !s.closed {
 				f.closeSession(s, err)
 			}
@@ -1217,10 +1228,8 @@ func (f *Fleet) handleDone(d *Done, node int) {
 		writeRegion(s.svb.Bytes(rdata.Buffer), rdata) //nolint:errcheck // validated above
 		// The canonical bytes changed: invalidate every cached copy of
 		// any overlapping import region of this session.
-		for _, tr := range s.byBuf[rdata.Buffer] {
-			if tr.key.offset < rdata.Offset+int64(len(rdata.Data)) && rdata.Offset < tr.key.offset+tr.key.size {
-				tr.ver++
-			}
+		if ix := s.byBuf[rdata.Buffer]; ix != nil {
+			ix.bump(rdata.Offset, rdata.Offset+int64(len(rdata.Data)))
 		}
 		exportBytes += int64(len(rdata.Data))
 	}
@@ -1251,19 +1260,8 @@ func (f *Fleet) handleDone(d *Done, node int) {
 	}
 	f.rpcHist.ObserveDuration(dur)
 	global := tsu.KernelID(f.kernelBase[node] + d.Kernel)
-	res := f.complete(s, d.Inst, global)
-	if res.ProgramDone {
-		f.closeSession(s, nil)
-	} else {
-		for _, next := range res.NewReady {
-			if err := f.dispatch(s, next); err != nil {
-				f.closeSession(s, err)
-				break
-			}
-			if s.closed {
-				break
-			}
-		}
+	if err := f.completeAndDispatch(s, d.Inst, global); err != nil {
+		f.closeSession(s, err)
 	}
 	f.drainDeferred(node)
 }

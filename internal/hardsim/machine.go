@@ -164,6 +164,13 @@ type machine struct {
 	// runs callbacks sequentially and each consumes the batch before
 	// returning, so one buffer serves every completion.
 	fired []tsu.Ready
+	// consumers is the reusable consumer-expansion buffer, under the same
+	// sequential-callback discipline. A completion expands its consumers
+	// twice — once to size the device's post-processing, once when the
+	// device applies the decrements — because the expansion reads only
+	// immutable tables, so both passes see the same list and no buffer has
+	// to stay reserved across the device latency.
+	consumers []core.Instance
 
 	sink obs.Sink // nil when observability is disabled
 
@@ -380,8 +387,8 @@ func (m *machine) complete(c int, inst core.Instance) {
 	if m.done || m.err != nil {
 		return
 	}
-	consumers := m.state.AppendConsumers(nil, inst)
-	dur := m.cfg.TSULat + m.cfg.DecLat*sim.Time(len(consumers))
+	m.consumers = m.state.AppendConsumers(m.consumers[:0], inst)
+	dur := m.cfg.TSULat + m.cfg.DecLat*sim.Time(len(m.consumers))
 	arrive := m.eng.Now() + m.cfg.MMILat
 	group := m.groupOf(c)
 	done := m.devices[group].Acquire(arrive, dur)
@@ -400,7 +407,8 @@ func (m *machine) complete(c int, inst core.Instance) {
 			})
 		}
 		m.fired = m.fired[:0]
-		for _, tgt := range consumers {
+		m.consumers = m.state.AppendConsumers(m.consumers[:0], inst)
+		for _, tgt := range m.consumers {
 			m.fired = m.state.DecrementInto(m.fired, tgt)
 		}
 		var programDone bool

@@ -27,7 +27,9 @@ import (
 //     dispatches entry-stage instances as they arrive, applying the
 //     backpressure policy at window-slot exhaustion;
 //   - firing: opt.Workers goroutines drain a shared ready channel,
-//     running stage bodies and propagating decrements;
+//     running stage bodies and propagating decrements; a worker runs
+//     the first consumer its own decrements fire next, and sends only
+//     the surplus to the channel;
 //   - retirement: the worker that fires a window's last instance
 //     observes per-event admission→retire latency, applies the
 //     pipeline's Export, and releases the slot;
@@ -100,7 +102,9 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 
 	// The work channel holds every dispatched-but-unfired instance. Its
 	// capacity is the worst case — all live windows fully pending — so
-	// worker self-pushes never block and cannot deadlock. WorkCapacity is
+	// worker self-pushes never block and cannot deadlock. Keeping one
+	// fired consumer on its worker only removes sends, so the bound is
+	// still an upper bound on the channel's occupancy. WorkCapacity is
 	// the shared derivation of that bound (ddmlint's budget check verifies
 	// the same formula); a capacity that overflows or exceeds what a chan
 	// can hold voids the no-deadlock argument, so refuse to run.
@@ -126,6 +130,31 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 	)
 	closeWork := func() { closeOnce.Do(func() { close(work) }) }
 
+	// retire runs on the worker whose completion finished a window's
+	// firing closure: latency per admitted (non-pad) event, export while
+	// the slot's data is still valid, release.
+	retire := func(win int64, slot int) {
+		now := time.Now()
+		pf := padFrom.Load()
+		for l := int64(0); l < W; l++ {
+			if win*W+l < pf {
+				hLatency.ObserveDuration(now.Sub(admit[slot][l]))
+			}
+		}
+		if p.Export != nil {
+			p.Export(win, slot)
+		}
+		// The gauge drops before Release: a freed slot can be reopened
+		// by the injector at once, and MaxInFlight must never count the
+		// old and the new occupant together.
+		gInflight.Add(-1)
+		wsm.Release(refs[slot])
+		cRetired.Inc()
+		if r := retired.Add(1); injDone.Load() && r == opened.Load() {
+			closeWork()
+		}
+	}
+
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -134,42 +163,41 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 			defer wg.Done()
 			var buf []core.Instance
 			for inst := range work {
-				slot, local := wsm.Decode(inst)
-				stage := int(inst.Thread - entry)
-				win := wsm.Window(slot)
-				seq := win*W + int64(local)
-				if d := inj.Delay(stage); d > 0 {
-					time.Sleep(d)
-				}
-				if body := p.Stages[stage].Body; body != nil && !(stage == 0 && seq >= padFrom.Load()) {
-					body(stream.Ctx{Window: win, Slot: slot, Local: local, Seq: seq})
-				}
-				buf = wsm.AppendConsumers(buf[:0], inst)
-				for _, tgt := range buf {
-					if wsm.Decrement(tgt) {
-						work <- tgt
+				// Run inst, then keep running on this worker the first
+				// consumer each completion fires; only the surplus goes
+				// through the shared channel. A completion that fires a
+				// consumer cannot retire its window (the consumer is
+				// still pending), so the chain ends at retirement.
+				for {
+					slot, local := wsm.Decode(inst)
+					stage := int(inst.Thread - entry)
+					win := wsm.Window(slot)
+					seq := win*W + int64(local)
+					if d := inj.Delay(stage); d > 0 {
+						time.Sleep(d)
 					}
-				}
-				if !wsm.Done(slot) {
-					continue
-				}
-				// Window retired: latency per admitted (non-pad) event,
-				// export while the slot's data is still valid, release.
-				now := time.Now()
-				pf := padFrom.Load()
-				for l := int64(0); l < W; l++ {
-					if win*W+l < pf {
-						hLatency.ObserveDuration(now.Sub(admit[slot][l]))
+					if body := p.Stages[stage].Body; body != nil && !(stage == 0 && seq >= padFrom.Load()) {
+						body(stream.Ctx{Window: win, Slot: slot, Local: local, Seq: seq})
 					}
-				}
-				if p.Export != nil {
-					p.Export(win, slot)
-				}
-				wsm.Release(refs[slot])
-				gInflight.Add(-1)
-				cRetired.Inc()
-				if r := retired.Add(1); injDone.Load() && r == opened.Load() {
-					closeWork()
+					buf = wsm.AppendConsumers(buf[:0], inst)
+					next, kept := core.Instance{}, false
+					for _, tgt := range buf {
+						if !wsm.Decrement(tgt) {
+							continue
+						}
+						if kept {
+							work <- tgt
+						} else {
+							next, kept = tgt, true
+						}
+					}
+					if wsm.Done(slot) {
+						retire(win, slot)
+					}
+					if !kept {
+						break
+					}
+					inst = next
 				}
 			}
 		}()

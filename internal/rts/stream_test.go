@@ -1,6 +1,8 @@
 package rts
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"tflux/internal/core"
 	"tflux/internal/obs"
 	"tflux/internal/stream"
+	"tflux/internal/workload"
 )
 
 // countingPipeline builds the canonical decode → filter → aggregate
@@ -212,5 +215,149 @@ func TestStreamSoak(t *testing.T) {
 	}
 	if got := reg.Histogram("stream.event_latency_ns", obs.LatencyBuckets).Count(); got != n {
 		t.Fatalf("latency samples = %d, want one per admitted event", got)
+	}
+}
+
+// streamAllocs is the mean heap-allocation count of one EVENTFILTER run
+// of n events through RunStream (set-up included), with the checksum
+// verified on every run.
+func streamAllocs(t *testing.T, n int64) float64 {
+	t.Helper()
+	const w, slots = 64, 4
+	ef, err := workload.NewEventFilter(w, slots, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ef.Pipeline()
+	runs := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := RunStream(p, stream.NewCountSource(n, 0), stream.Options{Slots: slots, Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		runs++
+	})
+	// AllocsPerRun adds one warm-up run; every run adds to the checksum.
+	wantSum, wantAcc := ef.Reference(n)
+	if got := ef.Checksum(); got != wantSum*uint64(runs) {
+		t.Fatalf("checksum %#x after %d runs, want %#x", got, runs, wantSum*uint64(runs))
+	}
+	if got := ef.Accepted(); got != wantAcc*int64(runs) {
+		t.Fatalf("accepted %d after %d runs, want %d", got, runs, wantAcc*int64(runs))
+	}
+	return allocs
+}
+
+// TestRunStreamAllocsFlatInEvents pins the streaming firing loop to no
+// per-event heap allocation: a run of 128 windows allocates no more than
+// a run of one window, beyond a fixed slack for set-up that varies with
+// scheduling.
+func TestRunStreamAllocsFlatInEvents(t *testing.T) {
+	one := streamAllocs(t, 64)
+	many := streamAllocs(t, 128*64)
+	t.Logf("allocations: %.0f for 1 window, %.0f for 128 windows", one, many)
+	if many > one+32 {
+		t.Fatalf("%.0f allocations for 128 windows vs %.0f for one: the firing loop allocates per event", many, one)
+	}
+}
+
+// TestRunStreamContinuationMatrix is the exactly-once matrix for the
+// firing loop's local continuation (a worker runs the first consumer it
+// fires itself): worker counts × backpressure policies × chaos stage
+// delays. Every retired window exports once and fires its whole
+// closure, shed accounting balances, the checksum matches the
+// sequential reference over exactly the retired windows, and no
+// goroutine outlives the run.
+func TestRunStreamContinuationMatrix(t *testing.T) {
+	const (
+		n       = 1000 // 62 full windows + an 8-event partial window
+		w       = 16
+		slots   = 2
+		windows = (n + w - 1) / w
+	)
+	for _, workers := range []int{1, 2, 4} {
+		for _, policy := range []stream.Policy{stream.Block, stream.Shed} {
+			for _, spec := range []string{"", "latency:node=2:after=2:dur=10us;stall-read:node=1:after=2:dur=5ms"} {
+				name := fmt.Sprintf("workers=%d/%v/faults=%t", workers, policy, spec != "")
+				t.Run(name, func(t *testing.T) {
+					before := runtime.NumGoroutine()
+					ef, err := workload.NewEventFilter(w, slots, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p := ef.Pipeline()
+					export := p.Export
+					var mu sync.Mutex
+					exported := make(map[int64]int)
+					p.Export = func(win int64, slot int) {
+						mu.Lock()
+						exported[win]++
+						mu.Unlock()
+						export(win, slot)
+					}
+					opt := stream.Options{Slots: slots, Workers: workers, Policy: policy}
+					if spec != "" {
+						if opt.Faults, err = chaos.ParseSpec(spec); err != nil {
+							t.Fatal(err)
+						}
+						opt.FaultLog = chaos.NewLog()
+					}
+					st, err := RunStream(p, stream.NewCountSource(n, 0), opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					if int64(len(exported)) != st.Windows {
+						t.Fatalf("%d windows exported, %d retired", len(exported), st.Windows)
+					}
+					var sum uint64
+					var acc, admitted int64
+					for win, c := range exported {
+						if c != 1 {
+							t.Fatalf("window %d exported %d times", win, c)
+						}
+						lo, hi := win*w, min((win+1)*w, n)
+						s1, a1 := ef.Reference(hi)
+						s0, a0 := ef.Reference(lo)
+						sum, acc, admitted = sum+s1-s0, acc+a1-a0, admitted+hi-lo
+					}
+					if got := ef.Checksum(); got != sum {
+						t.Fatalf("checksum %#x, reference over retired windows %#x", got, sum)
+					}
+					if got := ef.Accepted(); got != acc {
+						t.Fatalf("accepted %d, reference over retired windows %d", got, acc)
+					}
+					if st.Events != admitted || st.Events+st.ShedEvents != n || st.Windows+st.ShedWindows != windows {
+						t.Fatalf("admitted %d (retired windows hold %d) + shed %d of %d events; %d retired + %d shed of %d windows",
+							st.Events, admitted, st.ShedEvents, n, st.Windows, st.ShedWindows, windows)
+					}
+					if want := st.Windows * p.PerWindow(); st.Fired != want {
+						t.Fatalf("fired %d, want %d for %d windows", st.Fired, want, st.Windows)
+					}
+					if policy == stream.Block {
+						if st.ShedEvents != 0 || st.ShedWindows != 0 {
+							t.Fatalf("Block policy shed %d events", st.ShedEvents)
+						}
+						if err := ef.Verify(n); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if spec != "" {
+						if st.Faults == 0 {
+							t.Fatal("chaos stage delays never fired")
+						}
+						if policy == stream.Shed && st.ShedWindows == 0 {
+							t.Fatal("a 5 ms stall on a 2-slot pipeline with an unpaced source shed nothing")
+						}
+					}
+					deadline := time.Now().Add(5 * time.Second)
+					for runtime.NumGoroutine() > before {
+						if time.Now().After(deadline) {
+							t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), before)
+						}
+						time.Sleep(time.Millisecond)
+					}
+				})
+			}
+		}
 	}
 }

@@ -58,6 +58,46 @@ type flatArc struct {
 	cInst core.Context // consumer template's instance count
 }
 
+// appendConsumers expands the arcs of a producer that has pInst instances
+// for the completion of its context pctx, appending each enabled consumer
+// with its context offset by slot·cInst (the window-slot encoding of a
+// WindowedSM; State passes slot 0). It is the one arc-expansion routine
+// both SM representations share.
+//
+// core's built-in mappings are called through a type switch so their
+// AppendTargets is statically dispatched and the scratch buffer stays on
+// the stack: passed through the Mapping interface it would escape, one
+// heap allocation per completion. Other mappings take the interface call
+// with a fresh slice.
+func appendConsumers(dst []core.Instance, arcs []flatArc, pctx, pInst, slot core.Context) []core.Instance {
+	var buf [16]core.Context
+	for ai := range arcs {
+		a := &arcs[ai]
+		var targets []core.Context
+		switch m := a.m.(type) {
+		case core.OneToOne:
+			targets = m.AppendTargets(buf[:0], pctx, pInst, a.cInst)
+		case core.AllToOne:
+			targets = m.AppendTargets(buf[:0], pctx, pInst, a.cInst)
+		case core.OneToAll:
+			targets = m.AppendTargets(buf[:0], pctx, pInst, a.cInst)
+		case core.Gather:
+			targets = m.AppendTargets(buf[:0], pctx, pInst, a.cInst)
+		case core.Scatter:
+			targets = m.AppendTargets(buf[:0], pctx, pInst, a.cInst)
+		case core.Const:
+			targets = m.AppendTargets(buf[:0], pctx, pInst, a.cInst)
+		default:
+			targets = m.AppendTargets(nil, pctx, pInst, a.cInst)
+		}
+		base := slot * a.cInst
+		for _, cc := range targets {
+			dst = append(dst, core.Instance{Thread: a.to, Ctx: base + cc})
+		}
+	}
+	return dst
+}
+
 // tmplInfo caches the immutable per-template tables the kernels consult
 // concurrently (the "Local TSU" state). It lives in a dense slice indexed
 // directly by ThreadID, so every hot-path lookup is one array access.
@@ -391,15 +431,7 @@ func (s *State) AppendConsumers(dst []core.Instance, inst core.Instance) []core.
 		return dst
 	}
 	info := &s.infos[inst.Thread]
-	var ctxBuf [16]core.Context
-	for ai := range info.arcs {
-		a := &info.arcs[ai]
-		targets := a.m.AppendTargets(ctxBuf[:0], inst.Ctx, info.inst, a.cInst)
-		for _, cc := range targets {
-			dst = append(dst, core.Instance{Thread: a.to, Ctx: cc})
-		}
-	}
-	return dst
+	return appendConsumers(dst, info.arcs, inst.Ctx, info.inst, 0)
 }
 
 // Decrement decreases the Ready Count of target by one and reports whether

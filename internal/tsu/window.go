@@ -295,17 +295,7 @@ func (w *WindowedSM) info(id core.ThreadID) *winfo {
 // tables; safe from any kernel.
 func (w *WindowedSM) AppendConsumers(dst []core.Instance, inst core.Instance) []core.Instance {
 	info := &w.winfos[inst.Thread]
-	slot, local := int(inst.Ctx/info.inst), inst.Ctx%info.inst
-	var ctxBuf [16]core.Context
-	for ai := range info.arcs {
-		a := &info.arcs[ai]
-		targets := a.m.AppendTargets(ctxBuf[:0], local, info.inst, a.cInst)
-		cbase := core.Context(slot) * a.cInst
-		for _, cc := range targets {
-			dst = append(dst, core.Instance{Thread: a.to, Ctx: cbase + cc})
-		}
-	}
-	return dst
+	return appendConsumers(dst, info.arcs, inst.Ctx%info.inst, info.inst, inst.Ctx/info.inst)
 }
 
 // Decrement atomically decreases the Ready Count of an encoded target and
