@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"tflux/internal/core"
+	"tflux/internal/stream"
+	"tflux/internal/workload"
 )
 
 // fillQueue seeds a queue with items interleaved across nTmpl templates,
@@ -183,4 +185,47 @@ func BenchmarkRunFineGrainShardedSteal(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchRunStream runs EVENTFILTER through RunStream once per op — 64
+// windows of 64 events on 4 slots with 2 workers, Block policy — and
+// reports admitted events/s and the last run's p50 admission-to-retire
+// latency. The checksum is verified against the sequential reference
+// after the last op.
+func benchRunStream(b *testing.B, newSource func(n int64) stream.Source) {
+	const w, slots, n = 64, 4, 64 * 64
+	ef, err := workload.NewEventFilter(w, slots, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := ef.Pipeline()
+	var st stream.Stats
+	var events int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st, err = RunStream(p, newSource(n), stream.Options{Slots: slots, Workers: 2}); err != nil {
+			b.Fatal(err)
+		}
+		events += st.Events
+	}
+	b.StopTimer()
+	if want, _ := ef.Reference(n); ef.Checksum() != want*uint64(b.N) {
+		b.Fatalf("checksum %#x after %d runs, want %#x", ef.Checksum(), b.N, want*uint64(b.N))
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(st.P50.Nanoseconds()), "p50-ns")
+}
+
+// BenchmarkRunStreamUnpaced offers events as fast as RunStream admits
+// them; the source declares it never waits, so entries are sent to the
+// workers in runs.
+func BenchmarkRunStreamUnpaced(b *testing.B) {
+	benchRunStream(b, func(n int64) stream.Source { return stream.NewCountSource(n, 0) })
+}
+
+// BenchmarkRunStreamPaced offers 500K events/s, so every entry is sent
+// as it arrives; events/s shows whether the rate is sustained.
+func BenchmarkRunStreamPaced(b *testing.B) {
+	benchRunStream(b, func(n int64) stream.Source { return stream.NewCountSource(n, 500_000) })
 }

@@ -80,7 +80,7 @@ type readyQueue struct {
 
 	closed  bool
 	kicked  bool // a shard inbox has work for this kernel (see kick)
-	waiters int // kernels parked in pop; gates the wakeup on push
+	waiters int  // kernels parked in pop; gates the wakeup on push
 	policy  Policy
 	scan    int // arrival-distance bound for the locality preference
 

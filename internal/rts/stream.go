@@ -24,8 +24,11 @@ import (
 // The loop interleaves four activities:
 //
 //   - injection: a dedicated goroutine pulls paced events from src and
-//     dispatches entry-stage instances as they arrive, applying the
-//     backpressure policy at window-slot exhaustion;
+//     dispatches entry-stage instances, applying the backpressure policy
+//     at window-slot exhaustion. A source that declares it never waits
+//     (stream.Rater with Rate() == 0) has its entries sent in runs of up
+//     to entryChunk consecutive events of one window; any other source
+//     has each entry sent as it arrives;
 //   - firing: opt.Workers goroutines drain a shared ready channel,
 //     running stage bodies and propagating decrements; a worker runs
 //     the first consumer its own decrements fire next, and sends only
@@ -85,14 +88,15 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 	)
 
 	// Per-slot state recycled with the SM slot: the window's WindowRef
-	// (needed at release) and per-event admission timestamps. Writes
-	// happen before the entry dispatch (injector side) and reads after
-	// the firing closure completes (retiring worker), so the channel
-	// send plus the decrement chain order them.
+	// (needed at release) and per-event admission stamps, as offsets
+	// from start (one monotonic clock read each). Writes happen before
+	// the entry dispatch (injector side) and reads after the firing
+	// closure completes (retiring worker), so the channel send plus the
+	// decrement chain order them.
 	refs := make([]tsu.WindowRef, slots)
-	admit := make([][]time.Time, slots)
+	admit := make([][]time.Duration, slots)
 	for i := range admit {
-		admit[i] = make([]time.Time, W)
+		admit[i] = make([]time.Duration, W)
 	}
 
 	// padFrom is the first pad sequence number; MaxInt64 until the
@@ -100,20 +104,22 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 	var padFrom atomic.Int64
 	padFrom.Store(math.MaxInt64)
 
-	// The work channel holds every dispatched-but-unfired instance. Its
-	// capacity is the worst case — all live windows fully pending — so
-	// worker self-pushes never block and cannot deadlock. Keeping one
-	// fired consumer on its worker only removes sends, so the bound is
-	// still an upper bound on the channel's occupancy. WorkCapacity is
-	// the shared derivation of that bound (ddmlint's budget check verifies
-	// the same formula); a capacity that overflows or exceeds what a chan
-	// can hold voids the no-deadlock argument, so refuse to run.
+	// The work channel holds every dispatched-but-unfired instance, as
+	// runs of at least one. Its capacity is the worst case — all live
+	// windows fully pending, one instance per element — so worker
+	// self-pushes never block and cannot deadlock. Keeping one fired
+	// consumer on its worker and batching entries into runs only remove
+	// sends, so the bound is still an upper bound on the channel's
+	// occupancy. WorkCapacity is the shared derivation of that bound
+	// (ddmlint's budget check verifies the same formula); a capacity
+	// that overflows or exceeds what a chan can hold voids the
+	// no-deadlock argument, so refuse to run.
 	capWork, capOK := stream.WorkCapacity(int64(slots), wsm.PerWindow(), int64(workers))
 	if !capOK || capWork > math.MaxInt32 {
 		return stream.Stats{}, fmt.Errorf("rts: work channel capacity %d slots × %d instances + %d workers voids the no-deadlock bound",
 			slots, wsm.PerWindow(), workers)
 	}
-	work := make(chan core.Instance, capWork)
+	work := make(chan entryRun, capWork)
 	freeCh := make(chan struct{}, slots)
 	wsm.SetOnFree(func() {
 		select {
@@ -133,12 +139,13 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 	// retire runs on the worker whose completion finished a window's
 	// firing closure: latency per admitted (non-pad) event, export while
 	// the slot's data is still valid, release.
+	start := time.Now()
 	retire := func(win int64, slot int) {
-		now := time.Now()
+		now := time.Since(start)
 		pf := padFrom.Load()
 		for l := int64(0); l < W; l++ {
 			if win*W+l < pf {
-				hLatency.ObserveDuration(now.Sub(admit[slot][l]))
+				hLatency.ObserveDuration(now - admit[slot][l])
 			}
 		}
 		if p.Export != nil {
@@ -155,62 +162,96 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 		}
 	}
 
-	start := time.Now()
+	// Each worker tallies the consumers its decrements fire and
+	// publishes the tally once, when it exits.
+	fired := make([]int64, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
-		go func() {
+		go func(fired *int64) {
 			defer wg.Done()
 			var buf []core.Instance
-			for inst := range work {
-				// Run inst, then keep running on this worker the first
-				// consumer each completion fires; only the surplus goes
-				// through the shared channel. A completion that fires a
-				// consumer cannot retire its window (the consumer is
-				// still pending), so the chain ends at retirement.
-				for {
-					slot, local := wsm.Decode(inst)
-					stage := int(inst.Thread - entry)
-					win := wsm.Window(slot)
-					seq := win*W + int64(local)
-					if d := inj.Delay(stage); d > 0 {
-						time.Sleep(d)
-					}
-					if body := p.Stages[stage].Body; body != nil && !(stage == 0 && seq >= padFrom.Load()) {
-						body(stream.Ctx{Window: win, Slot: slot, Local: local, Seq: seq})
-					}
-					buf = wsm.AppendConsumers(buf[:0], inst)
-					next, kept := core.Instance{}, false
-					for _, tgt := range buf {
-						if !wsm.Decrement(tgt) {
-							continue
+			var tally int64
+			for r := range work {
+				for k := core.Context(0); k < r.n; k++ {
+					inst := r.first
+					inst.Ctx += k
+					// Run inst, then keep running on this worker the
+					// first consumer each completion fires; only the
+					// surplus goes through the shared channel. Consumers
+					// are window-local, so the chain stays in one slot,
+					// and a completion that fires a consumer cannot
+					// retire its window (the consumer is still pending):
+					// the chain's completions are counted once, at its
+					// end, and only that count can retire the window.
+					var chain int64
+					for {
+						slot, local := wsm.Decode(inst)
+						stage := int(inst.Thread - entry)
+						win := wsm.Window(slot)
+						seq := win*W + int64(local)
+						if d := inj.Delay(stage); d > 0 {
+							time.Sleep(d)
 						}
-						if kept {
-							work <- tgt
-						} else {
-							next, kept = tgt, true
+						if body := p.Stages[stage].Body; body != nil && !(stage == 0 && seq >= padFrom.Load()) {
+							body(stream.Ctx{Window: win, Slot: slot, Local: local, Seq: seq})
 						}
+						buf = wsm.AppendConsumers(buf[:0], inst)
+						next, kept := core.Instance{}, false
+						for _, tgt := range buf {
+							if !wsm.Decrement(tgt) {
+								continue
+							}
+							tally++
+							if kept {
+								work <- entryRun{first: tgt, n: 1}
+							} else {
+								next, kept = tgt, true
+							}
+						}
+						chain++
+						if !kept {
+							if wsm.Done(slot, chain) {
+								retire(win, slot)
+							}
+							break
+						}
+						inst = next
 					}
-					if wsm.Done(slot) {
-						retire(win, slot)
-					}
-					if !kept {
-						break
-					}
-					inst = next
 				}
 			}
-		}()
+			*fired = tally
+		}(&fired[i])
 	}
 
 	// Injection loop (this goroutine): windows open lazily at their
-	// first event, so backpressure applies at window boundaries.
+	// first event, so backpressure applies at window boundaries. Entries
+	// collect in pend, a run of consecutive locals of the current
+	// window, sent when it reaches chunk, when the window's last local
+	// joins it, and when the source ends. A run therefore never spans a
+	// window, and the injector never waits for a free slot while it
+	// holds entries; with chunk 1 every entry is sent as it arrives.
+	chunk := core.Context(1)
+	if r, ok := src.(stream.Rater); ok && r.Rate() == 0 {
+		chunk = entryChunk
+	}
 	var (
 		curWin  int64 = -1
 		curRef  tsu.WindowRef
 		curShed bool
 		curNext core.Context // next local index in the current window
+		pend    entryRun
 	)
+	add := func(local core.Context) {
+		if pend.n == 0 {
+			pend.first = wsm.Encode(entry, curRef, local)
+		}
+		pend.n++
+		if pend.n == chunk || int64(local) == W-1 {
+			work <- pend
+			pend.n = 0
+		}
+	}
 	for {
 		seq, ok := src.Next()
 		if !ok {
@@ -241,17 +282,18 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 			continue
 		}
 		local := core.Context(seq % W)
-		admit[curRef.Slot][local] = time.Now()
+		admit[curRef.Slot][local] = time.Since(start)
 		cInjected.Inc()
 		curNext = local + 1
-		work <- wsm.Encode(entry, curRef, local)
+		add(local)
 	}
-	// Pad a partial final window so its firing closure can complete.
+	// Pad a partial final window so its firing closure can complete;
+	// the pads join the pending run, so the last one flushes it.
 	if curWin >= 0 && !curShed && int64(curNext) < W {
 		padFrom.Store(curWin*W + int64(curNext))
 		for l := curNext; int64(l) < W; l++ {
 			cPadded.Inc()
-			work <- wsm.Encode(entry, curRef, l)
+			add(l)
 		}
 	}
 	injDone.Store(true)
@@ -268,13 +310,16 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 		ShedWindows: cShedWin.Value(),
 		Windows:     cRetired.Value(),
 		// Entry instances fire on arrival, the rest on decrement.
-		Fired:       wsm.Stats().Fired + cInjected.Value() + cPadded.Value(),
+		Fired:       cInjected.Value() + cPadded.Value(),
 		P50:         time.Duration(hLatency.Quantile(0.50)),
 		P95:         time.Duration(hLatency.Quantile(0.95)),
 		P99:         time.Duration(hLatency.Quantile(0.99)),
 		Elapsed:     elapsed,
 		MaxInFlight: gInflight.Max(),
 		Faults:      opt.FaultLog.Count(),
+	}
+	for _, f := range fired {
+		st.Fired += f
 	}
 	if r, ok := src.(stream.Rater); ok {
 		st.OfferedEPS = r.Rate()
@@ -285,4 +330,19 @@ func RunStream(p *stream.Pipeline, src stream.Source, opt stream.Options) (strea
 	reg.Counter("stream.offered_eps").Set(int64(st.OfferedEPS))
 	reg.Counter("stream.achieved_eps").Set(int64(st.AchievedEPS))
 	return st, nil
+}
+
+// entryChunk is the most entries of one window the injector sends as a
+// single run when the source never waits. It amortizes the shared
+// channel's send over the run, as TFluxCell's CommandBuffers amortize
+// TSU traffic.
+const entryChunk = 32
+
+// entryRun is one work-channel element: n instances of one template at
+// consecutive contexts of one window slot, starting at first. The
+// injector sends runs of entries; workers send each surplus consumer
+// as a run of one.
+type entryRun struct {
+	first core.Instance
+	n     core.Context
 }

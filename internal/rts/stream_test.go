@@ -262,102 +262,214 @@ func TestRunStreamAllocsFlatInEvents(t *testing.T) {
 
 // TestRunStreamContinuationMatrix is the exactly-once matrix for the
 // firing loop's local continuation (a worker runs the first consumer it
-// fires itself): worker counts × backpressure policies × chaos stage
-// delays. Every retired window exports once and fires its whole
-// closure, shed accounting balances, the checksum matches the
-// sequential reference over exactly the retired windows, and no
-// goroutine outlives the run.
+// fires itself) and for both entry dispatch modes: window sizes ×
+// sources × worker counts × backpressure policies × chaos stage delays.
+// The unpaced source has entries sent in runs, the paced one each entry
+// on its own. With 1000 events, W = 16 ends on an 8-event partial
+// window, shorter than a run; W = 64 ends on a 40-event partial window
+// (local 40 of window 15), past one full run and mid-way through the
+// next. Every retired window exports once and fires its whole closure,
+// shed accounting balances, the checksum matches the sequential
+// reference over exactly the retired windows, and no goroutine outlives
+// the run.
 func TestRunStreamContinuationMatrix(t *testing.T) {
-	const (
-		n       = 1000 // 62 full windows + an 8-event partial window
-		w       = 16
-		slots   = 2
-		windows = (n + w - 1) / w
-	)
-	for _, workers := range []int{1, 2, 4} {
-		for _, policy := range []stream.Policy{stream.Block, stream.Shed} {
-			for _, spec := range []string{"", "latency:node=2:after=2:dur=10us;stall-read:node=1:after=2:dur=5ms"} {
-				name := fmt.Sprintf("workers=%d/%v/faults=%t", workers, policy, spec != "")
-				t.Run(name, func(t *testing.T) {
-					before := runtime.NumGoroutine()
-					ef, err := workload.NewEventFilter(w, slots, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					p := ef.Pipeline()
-					export := p.Export
-					var mu sync.Mutex
-					exported := make(map[int64]int)
-					p.Export = func(win int64, slot int) {
-						mu.Lock()
-						exported[win]++
-						mu.Unlock()
-						export(win, slot)
-					}
-					opt := stream.Options{Slots: slots, Workers: workers, Policy: policy}
-					if spec != "" {
-						if opt.Faults, err = chaos.ParseSpec(spec); err != nil {
-							t.Fatal(err)
+	for _, w := range []int64{16, 64} {
+		for _, paced := range []bool{false, true} {
+			for _, workers := range []int{1, 2, 4} {
+				for _, policy := range []stream.Policy{stream.Block, stream.Shed} {
+					for _, spec := range []string{"", "latency:node=2:after=2:dur=10us;stall-read:node=1:after=2:dur=5ms"} {
+						// The W = 16 unpaced cells keep their original names.
+						name := fmt.Sprintf("workers=%d/%v/faults=%t", workers, policy, spec != "")
+						if paced {
+							name = "paced/" + name
 						}
-						opt.FaultLog = chaos.NewLog()
-					}
-					st, err := RunStream(p, stream.NewCountSource(n, 0), opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					if int64(len(exported)) != st.Windows {
-						t.Fatalf("%d windows exported, %d retired", len(exported), st.Windows)
-					}
-					var sum uint64
-					var acc, admitted int64
-					for win, c := range exported {
-						if c != 1 {
-							t.Fatalf("window %d exported %d times", win, c)
+						if w != 16 {
+							name = fmt.Sprintf("w=%d/%s", w, name)
 						}
-						lo, hi := win*w, min((win+1)*w, n)
-						s1, a1 := ef.Reference(hi)
-						s0, a0 := ef.Reference(lo)
-						sum, acc, admitted = sum+s1-s0, acc+a1-a0, admitted+hi-lo
+						t.Run(name, func(t *testing.T) {
+							matrixCase(t, w, paced, workers, policy, spec)
+						})
 					}
-					if got := ef.Checksum(); got != sum {
-						t.Fatalf("checksum %#x, reference over retired windows %#x", got, sum)
-					}
-					if got := ef.Accepted(); got != acc {
-						t.Fatalf("accepted %d, reference over retired windows %d", got, acc)
-					}
-					if st.Events != admitted || st.Events+st.ShedEvents != n || st.Windows+st.ShedWindows != windows {
-						t.Fatalf("admitted %d (retired windows hold %d) + shed %d of %d events; %d retired + %d shed of %d windows",
-							st.Events, admitted, st.ShedEvents, n, st.Windows, st.ShedWindows, windows)
-					}
-					if want := st.Windows * p.PerWindow(); st.Fired != want {
-						t.Fatalf("fired %d, want %d for %d windows", st.Fired, want, st.Windows)
-					}
-					if policy == stream.Block {
-						if st.ShedEvents != 0 || st.ShedWindows != 0 {
-							t.Fatalf("Block policy shed %d events", st.ShedEvents)
-						}
-						if err := ef.Verify(n); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if spec != "" {
-						if st.Faults == 0 {
-							t.Fatal("chaos stage delays never fired")
-						}
-						if policy == stream.Shed && st.ShedWindows == 0 {
-							t.Fatal("a 5 ms stall on a 2-slot pipeline with an unpaced source shed nothing")
-						}
-					}
-					deadline := time.Now().Add(5 * time.Second)
-					for runtime.NumGoroutine() > before {
-						if time.Now().After(deadline) {
-							t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), before)
-						}
-						time.Sleep(time.Millisecond)
-					}
-				})
+				}
 			}
 		}
+	}
+}
+
+// matrixCase is one cell of TestRunStreamContinuationMatrix: n events
+// in windows of w on 2 slots, offered unpaced or paced at 200K events/s.
+func matrixCase(t *testing.T, w int64, paced bool, workers int, policy stream.Policy, spec string) {
+	const (
+		n     = 1000
+		slots = 2
+		rate  = 200_000
+	)
+	windows := (n + w - 1) / w
+	before := runtime.NumGoroutine()
+	ef, err := workload.NewEventFilter(core.Context(w), slots, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ef.Pipeline()
+	export := p.Export
+	var mu sync.Mutex
+	exported := make(map[int64]int)
+	p.Export = func(win int64, slot int) {
+		mu.Lock()
+		exported[win]++
+		mu.Unlock()
+		export(win, slot)
+	}
+	opt := stream.Options{Slots: slots, Workers: workers, Policy: policy}
+	if spec != "" {
+		if opt.Faults, err = chaos.ParseSpec(spec); err != nil {
+			t.Fatal(err)
+		}
+		opt.FaultLog = chaos.NewLog()
+	}
+	src := stream.NewCountSource(n, 0)
+	if paced {
+		src = stream.NewCountSource(n, rate)
+	}
+	st, err := RunStream(p, src, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if int64(len(exported)) != st.Windows {
+		t.Fatalf("%d windows exported, %d retired", len(exported), st.Windows)
+	}
+	var sum uint64
+	var acc, admitted int64
+	for win, c := range exported {
+		if c != 1 {
+			t.Fatalf("window %d exported %d times", win, c)
+		}
+		lo, hi := win*w, min((win+1)*w, n)
+		s1, a1 := ef.Reference(hi)
+		s0, a0 := ef.Reference(lo)
+		sum, acc, admitted = sum+s1-s0, acc+a1-a0, admitted+hi-lo
+	}
+	if got := ef.Checksum(); got != sum {
+		t.Fatalf("checksum %#x, reference over retired windows %#x", got, sum)
+	}
+	if got := ef.Accepted(); got != acc {
+		t.Fatalf("accepted %d, reference over retired windows %d", got, acc)
+	}
+	if st.Events != admitted || st.Events+st.ShedEvents != n || st.Windows+st.ShedWindows != windows {
+		t.Fatalf("admitted %d (retired windows hold %d) + shed %d of %d events; %d retired + %d shed of %d windows",
+			st.Events, admitted, st.ShedEvents, n, st.Windows, st.ShedWindows, windows)
+	}
+	if want := st.Windows * p.PerWindow(); st.Fired != want {
+		t.Fatalf("fired %d, want %d for %d windows", st.Fired, want, st.Windows)
+	}
+	if policy == stream.Block {
+		if st.ShedEvents != 0 || st.ShedWindows != 0 {
+			t.Fatalf("Block policy shed %d events", st.ShedEvents)
+		}
+		if err := ef.Verify(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if spec != "" {
+		if st.Faults == 0 {
+			t.Fatal("chaos stage delays never fired")
+		}
+		// Only the unpaced source is sure to outrun a pipeline that has
+		// a slot pinned by the stall; a paced one may be kept up with.
+		if policy == stream.Shed && !paced && st.ShedWindows == 0 {
+			t.Fatal("a 5 ms stall on a 2-slot pipeline with an unpaced source shed nothing")
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// lockstepSource releases event k+1 only once event k's entry body has
+// run, giving up after timeout. A run loop that held an admitted entry
+// while the source waits would stall it: Next then ends the stream and
+// records the stall, so a failing run still finishes.
+type lockstepSource struct {
+	n, next int64
+	ran     []chan struct{} // closed by event k's entry body
+	timeout time.Duration
+	stalled int64 // event whose predecessor never ran; -1 for none
+}
+
+func newLockstepSource(n int64) *lockstepSource {
+	s := &lockstepSource{n: n, ran: make([]chan struct{}, n), timeout: 5 * time.Second, stalled: -1}
+	for i := range s.ran {
+		s.ran[i] = make(chan struct{})
+	}
+	return s
+}
+
+// Next implements stream.Source.
+func (s *lockstepSource) Next() (int64, bool) {
+	if s.next >= s.n || s.stalled >= 0 {
+		return 0, false
+	}
+	seq := s.next
+	if seq > 0 {
+		select {
+		case <-s.ran[seq-1]:
+		case <-time.After(s.timeout):
+			s.stalled = seq
+			return 0, false
+		}
+	}
+	s.next++
+	return seq, true
+}
+
+// ratedLockstepSource is a lockstepSource that reports a non-zero
+// offered rate, so it does not declare that Next never waits.
+type ratedLockstepSource struct{ *lockstepSource }
+
+// Rate implements stream.Rater.
+func (ratedLockstepSource) Rate() float64 { return 1e6 }
+
+// TestRunStreamNoHoldPaced pins the dispatch contract for sources that
+// may wait: RunStream sends every admitted entry before it asks the
+// source for the next event. Each source here waits in Next for the
+// previous event's entry body to run, so an entry held back for a run
+// stalls the stream.
+func TestRunStreamNoHoldPaced(t *testing.T) {
+	const n, w = 100, 8 // 12 full windows + a 4-event partial window
+	for _, rated := range []bool{false, true} {
+		t.Run(fmt.Sprintf("rater=%t", rated), func(t *testing.T) {
+			ls := newLockstepSource(n)
+			var src stream.Source = ls
+			if rated {
+				src = ratedLockstepSource{ls}
+			}
+			p, counts := countingPipeline(w, n)
+			decode := p.Stages[0].Body
+			p.Stages[0].Body = func(c stream.Ctx) {
+				decode(c)
+				close(ls.ran[c.Seq])
+			}
+			st, err := RunStream(p, src, stream.Options{Slots: 2, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ls.stalled >= 0 {
+				t.Fatalf("event %d: the source waited %v for event %d's entry, which RunStream held back",
+					ls.stalled, ls.timeout, ls.stalled-1)
+			}
+			if st.Events != n {
+				t.Fatalf("admitted %d of %d events", st.Events, n)
+			}
+			for seq := range counts {
+				if got := counts[seq].Load(); got != 1 {
+					t.Fatalf("seq %d executed %d times", seq, got)
+				}
+			}
+		})
 	}
 }

@@ -98,7 +98,9 @@ type Stats struct {
 	AchievedEPS float64 // admitted events / elapsed
 
 	// Admission-to-retire latency quantiles over admitted events
-	// (bucket-interpolated; pads excluded).
+	// (bucket-interpolated; pads excluded). Admission is when the run
+	// loop takes the event from the source, so the time an entry waits
+	// to be sent in a run (see Rater) counts.
 	P50, P95, P99 time.Duration
 
 	Elapsed     time.Duration

@@ -14,6 +14,14 @@ type Source interface {
 // Rater is an optional Source refinement reporting the configured
 // offered rate in events/second (0 = unbounded). The run loop uses it
 // for the achieved-vs-offered comparison.
+//
+// Rate() == 0 is also a promise that Next never waits: it returns at
+// once with the next event or with ok=false. On that promise
+// rts.RunStream sends entries to its workers in runs, holding up to
+// chunk−1 admitted entries (chunk is 32) while it calls Next for the
+// rest of a run. A source that may wait — paced, or fed from outside —
+// must report a non-zero rate or not implement Rater; each of its
+// entries is then sent as soon as it is admitted.
 type Rater interface {
 	Rate() float64
 }

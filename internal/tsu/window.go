@@ -51,11 +51,11 @@ type WindowedSM struct {
 
 	slots []wslot
 
-	// Counters; atomics because every kernel updates them concurrently.
-	opened     atomic.Int64
-	retired    atomic.Int64
-	decrements atomic.Int64
-	fired      atomic.Int64
+	// Lifecycle counters, updated once per window. Per-instance tallies
+	// (decrements, firings) are the caller's: a shared counter on the
+	// firing path would be written by every kernel for every instance.
+	opened  atomic.Int64
+	retired atomic.Int64
 }
 
 // winfo caches one template's immutable per-window tables.
@@ -89,10 +89,8 @@ type WindowRef struct {
 
 // WindowStats is a snapshot of the windowed engine's counters.
 type WindowStats struct {
-	Opened     int64 // windows opened
-	Retired    int64 // windows whose firing closure completed
-	Decrements int64 // Ready Count decrements applied
-	Fired      int64 // instances whose Ready Count reached zero
+	Opened  int64 // windows opened
+	Retired int64 // windows whose firing closure completed
 }
 
 // ValidateWindowShape checks whether a per-window Block fits the windowed
@@ -306,23 +304,21 @@ func (w *WindowedSM) Decrement(target core.Instance) bool {
 	info := &w.winfos[target.Thread]
 	slot, local := int(target.Ctx/info.inst), target.Ctx%info.inst
 	n := w.slots[slot].counts[info.dense][local].Add(-1)
-	w.decrements.Add(1)
 	if n < 0 {
 		panic(fmt.Sprintf("tsu: windowed ready count of T%d.%d (slot %d) went negative", target.Thread, local, slot))
 	}
-	if n == 0 {
-		w.fired.Add(1)
-		return true
-	}
-	return false
+	return n == 0
 }
 
-// Done counts one instance completion against its window's firing closure
-// and reports whether the closure completed — the retirement condition. The
-// kernel that receives true owns retirement: apply the window's exports,
-// then Release the slot.
-func (w *WindowedSM) Done(slot int) (retired bool) {
-	rem := w.slots[slot].remaining.Add(-1)
+// Done counts n instance completions of one slot against its window's
+// firing closure and reports whether the closure completed — the
+// retirement condition. A kernel may batch the completions of a chain of
+// instances it ran in one slot into one call: the closure cannot complete
+// before the chain's last completion anyway, since every earlier one left
+// a fired consumer pending. The kernel that receives true owns retirement:
+// apply the window's exports, then Release the slot.
+func (w *WindowedSM) Done(slot int, n int64) (retired bool) {
+	rem := w.slots[slot].remaining.Add(-n)
 	if rem < 0 {
 		panic(fmt.Sprintf("tsu: window slot %d over-completed", slot))
 	}
@@ -359,9 +355,7 @@ func (w *WindowedSM) Release(ref WindowRef) {
 // Stats returns a snapshot of the engine's counters.
 func (w *WindowedSM) Stats() WindowStats {
 	return WindowStats{
-		Opened:     w.opened.Load(),
-		Retired:    w.retired.Load(),
-		Decrements: w.decrements.Load(),
-		Fired:      w.fired.Load(),
+		Opened:  w.opened.Load(),
+		Retired: w.retired.Load(),
 	}
 }

@@ -65,7 +65,7 @@ func TestWindowedBasic(t *testing.T) {
 			}
 		}
 		slot, _ := w.Decode(inst)
-		if w.Done(slot) {
+		if w.Done(slot, 1) {
 			retired = true
 		}
 	}
@@ -83,6 +83,32 @@ func TestWindowedBasic(t *testing.T) {
 	if w.InFlight() != 0 {
 		t.Fatalf("inflight after release = %d", w.InFlight())
 	}
+}
+
+// TestWindowedDoneBatched pins Done's batched count: completions counted
+// in one call retire the window at exactly the last of them, and a count
+// past the firing closure panics.
+func TestWindowedDoneBatched(t *testing.T) {
+	w, err := NewWindowed(windowBlock(8), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := w.PerWindow()
+	ref, _ := w.Open(0)
+	if w.Done(ref.Slot, per-3) || w.Done(ref.Slot, 2) {
+		t.Fatal("retired with a completion outstanding")
+	}
+	if !w.Done(ref.Slot, 1) {
+		t.Fatal("last completion did not retire the window")
+	}
+	w.Release(ref)
+	ref, _ = w.Open(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("over-completion did not panic")
+		}
+	}()
+	w.Done(ref.Slot, per+1)
 }
 
 func TestWindowedOpenExhaustion(t *testing.T) {
@@ -123,7 +149,7 @@ func drainWindow(w *WindowedSM, ref WindowRef) {
 			}
 		}
 		slot, _ := w.Decode(inst)
-		w.Done(slot)
+		w.Done(slot, 1)
 	}
 }
 
@@ -265,7 +291,7 @@ func TestWindowedRecyclingProperty(t *testing.T) {
 							work <- workItem{inst: tgt, win: it.win, ref: it.ref}
 						}
 					}
-					if w.Done(slot) {
+					if w.Done(slot, 1) {
 						w.Release(it.ref)
 						retired.Add(1)
 					}
