@@ -109,7 +109,9 @@ type CoreStats struct {
 	Busy     sim.Time // cycles spent executing DThread bodies
 }
 
-// Result is the outcome of a simulated run.
+// Result is the outcome of a simulated run. TSU.Decrements is the
+// per-consumer count the device model charges (one per consumer of each
+// arc), not the State's barrier-cell updates.
 type Result struct {
 	Cycles  sim.Time // total execution time in cycles
 	Mem     mem.Stats
@@ -171,6 +173,11 @@ type machine struct {
 	// immutable tables, so both passes see the same list and no buffer has
 	// to stay reserved across the device latency.
 	consumers []core.Instance
+	// decrements sums the per-consumer fan-out the device model charges
+	// (State.FanOut): the paper's TSU decrements every consumer's Ready
+	// Count, so that is the count the run reports, not the barrier-cell
+	// updates the State performs in software.
+	decrements int64
 
 	sink obs.Sink // nil when observability is disabled
 
@@ -227,6 +234,7 @@ func Run(p *core.Program, cfg Config) (*Result, error) {
 		TSU:    state.Stats(),
 		Cores:  m.cores,
 	}
+	res.TSU.Decrements = m.decrements
 	for i := range m.devices {
 		res.TSUBusy += m.devices[i].Busy
 	}
@@ -388,7 +396,8 @@ func (m *machine) complete(c int, inst core.Instance) {
 		return
 	}
 	m.consumers = m.state.AppendConsumers(m.consumers[:0], inst)
-	dur := m.cfg.TSULat + m.cfg.DecLat*sim.Time(len(m.consumers))
+	fan := m.state.FanOut(m.consumers)
+	dur := m.cfg.TSULat + m.cfg.DecLat*sim.Time(fan)
 	arrive := m.eng.Now() + m.cfg.MMILat
 	group := m.groupOf(c)
 	done := m.devices[group].Acquire(arrive, dur)
@@ -406,6 +415,7 @@ func (m *machine) complete(c int, inst core.Instance) {
 				Dur:   m.cyc(dur),
 			})
 		}
+		m.decrements += int64(fan)
 		m.fired = m.fired[:0]
 		m.consumers = m.state.AppendConsumers(m.consumers[:0], inst)
 		for _, tgt := range m.consumers {

@@ -8,7 +8,7 @@ import (
 )
 
 // reductionState builds a loaded TSU whose consumer instance waits for n
-// producer completions, so Decrement can be called n times in a row on live
+// producer completions, so DecrementInto can be called n times in a row on live
 // Synchronization Memory without firing until the very end.
 func reductionState(b *testing.B, n core.Context, kernels int) *State {
 	b.Helper()
@@ -37,9 +37,10 @@ func BenchmarkDecrement(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			s := reductionState(b, core.Context(b.N)+1, kernels)
 			target := core.Instance{Thread: 2, Ctx: 0}
+			var dst []Ready
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if s.Decrement(target) {
+				if dst = s.DecrementInto(dst, target); len(dst) != 0 {
 					b.Fatal("fired early")
 				}
 			}
@@ -147,6 +148,101 @@ func BenchmarkAppendConsumers(b *testing.B) {
 	if len(dst) == 0 {
 		b.Fatal("no consumers expanded")
 	}
+}
+
+// broadcastBarrierTables compiles SUSAN's Small phase barrier: P = 288
+// producers, each enabling all C = 288 consumers (core.OneToAll), over two
+// kernels.
+func broadcastBarrierTables(b *testing.B) *Tables {
+	b.Helper()
+	const n = 288
+	p := core.NewProgram("barrier-bench")
+	blk := p.AddBlock()
+	prod := core.NewTemplate(1, "prod", func(core.Context) {})
+	prod.Instances = n
+	cons := core.NewTemplate(2, "cons", func(core.Context) {})
+	cons.Instances = n
+	prod.Then(2, core.OneToAll{})
+	blk.Add(prod)
+	blk.Add(cons)
+	tb, err := NewTables(p, 2, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tb
+}
+
+// BenchmarkBroadcastBarrier measures one P = C = 288 phase barrier per op:
+// reload the block's SM from its snapshot, then post-process all 288
+// producer completions until the 288 consumers fire. It runs on the
+// single-driver State (the legacy emulator's path) and on a 2-shard
+// ShardedState with the producers completing on their owning kernels'
+// lanes and the shards stepped until their inboxes are empty. Reported:
+// ns/barrier, the Ready Count updates per barrier (decrements/op) and,
+// sharded, the updates that crossed a shard boundary (cross-shard/op).
+func BenchmarkBroadcastBarrier(b *testing.B) {
+	const n = 288
+	b.Run("State", func(b *testing.B) {
+		s := broadcastBarrierTables(b).NewState()
+		inlet := core.Instance{Thread: s.InletID(0)}
+		var ready []Ready
+		var decrements int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Reset()
+			ready, _, _ = s.DoneInto(ready[:0], inlet, 0)
+			fired := 0
+			for c := core.Context(0); c < n; c++ {
+				prod := core.Instance{Thread: 1, Ctx: c}
+				ready, _, _ = s.CompleteInto(ready[:0], prod, s.KernelOf(prod))
+				fired += len(ready)
+			}
+			if fired != n {
+				b.Fatalf("fired %d consumers, want %d", fired, n)
+			}
+			decrements += s.stats.Decrements
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/barrier")
+		b.ReportMetric(float64(decrements)/float64(b.N), "decrements/op")
+	})
+	b.Run("Sharded2", func(b *testing.B) {
+		s := broadcastBarrierTables(b).NewState()
+		ss, err := NewSharded(s, 2, TUBConfig{}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inlet := core.Instance{Thread: s.InletID(0)}
+		var ready, stepped []Ready
+		var targets []core.Instance
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Reset()
+			ready, _ = ss.Lane(0).Complete(ready[:0], inlet, nil)
+			fired := 0
+			for c := core.Context(0); c < n; c++ {
+				prod := core.Instance{Thread: 1, Ctx: c}
+				targets = s.AppendConsumers(targets[:0], prod)
+				ready, _ = ss.Lane(s.KernelOf(prod)).Complete(ready[:0], prod, targets)
+				fired += len(ready)
+			}
+			for {
+				pushes := ss.InboxStats().Pushes
+				for sh := 0; sh < ss.Shards(); sh++ {
+					stepped = ss.Lane(ss.Stepper(sh)).Step(stepped[:0])
+					fired += len(stepped)
+				}
+				if ss.InboxStats().Pushes == pushes {
+					break
+				}
+			}
+			if fired != n {
+				b.Fatalf("fired %d consumers, want %d", fired, n)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/barrier")
+		b.ReportMetric(float64(ss.Stats().Decrements)/float64(b.N), "decrements/op")
+		b.ReportMetric(float64(ss.CrossShardDecrements())/float64(b.N), "cross-shard/op")
+	})
 }
 
 // BenchmarkTUBPushDrain measures the uncontended deposit/drain cycle: 64

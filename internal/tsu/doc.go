@@ -14,7 +14,9 @@
 //     (one per kernel, holding the Ready Counts of the instances that
 //     kernel owns), the Thread-to-Kernel Table (TKT) used for Thread
 //     Indexing (§4.2), Block sequencing with synthesized Inlet/Outlet
-//     DThreads (§2), and the post-processing arc expansion. State has no
+//     DThreads (§2), and the post-processing arc expansion, in which a
+//     large broadcast arc is one barrier cell (P + C Ready Count updates
+//     instead of P×C; see compileBarriers). State has no
 //     goroutines and no locks: in single-driver form, exactly one driver
 //     mutates it — the Cell PPE emulator polling CommandBuffers (package
 //     cellsim), the memory-mapped hardware device model (package hardsim),

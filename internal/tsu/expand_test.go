@@ -41,9 +41,14 @@ func builtinFanoutProgram() *core.Program {
 // completion: 1 + 1 + 16 + 1 + 16 + 1.
 const builtinFanout = 36
 
+// builtinTargets is the State's target count for the same completion: its
+// 8→16 broadcast (8·16 > 8 + 16) is one barrier cell, so 1+1+1+1+16+1.
+const builtinTargets = 21
+
 // TestAppendConsumersAllocFree pins consumer expansion to zero heap
 // allocations on core's built-in mappings (fan-out ≤ 16 per arc) when the
-// caller reuses dst, on both SM representations.
+// caller reuses dst, on both SM representations: the State's barrier form
+// and the WindowedSM's per-consumer form.
 func TestAppendConsumersAllocFree(t *testing.T) {
 	p := builtinFanoutProgram()
 	s, err := NewState(p, 2)
@@ -59,13 +64,14 @@ func TestAppendConsumersAllocFree(t *testing.T) {
 		name   string
 		expand func(dst []core.Instance, inst core.Instance) []core.Instance
 		inst   core.Instance
+		want   int
 	}{
-		{"State", s.AppendConsumers, core.Instance{Thread: 1, Ctx: 3}},
+		{"State", s.AppendConsumers, core.Instance{Thread: 1, Ctx: 3}, builtinTargets},
 		// Slot 1, local 3: the windowed encoding is slot·instances+local.
-		{"WindowedSM", w.AppendConsumers, core.Instance{Thread: 1, Ctx: 8 + 3}},
+		{"WindowedSM", w.AppendConsumers, core.Instance{Thread: 1, Ctx: 8 + 3}, builtinFanout},
 	} {
-		if got := len(tc.expand(dst[:0], tc.inst)); got != builtinFanout {
-			t.Fatalf("%s: expanded %d consumers, want %d", tc.name, got, builtinFanout)
+		if got := len(tc.expand(dst[:0], tc.inst)); got != tc.want {
+			t.Fatalf("%s: expanded %d consumers, want %d", tc.name, got, tc.want)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
 			dst = tc.expand(dst[:0], tc.inst)
@@ -79,7 +85,8 @@ func TestAppendConsumersAllocFree(t *testing.T) {
 // TestAppendConsumersMatchesMapping checks the shared expansion against
 // each arc's own AppendTargets, for the built-in fast paths and the
 // interface fallback, on both representations (windowed contexts offset
-// by slot·instances).
+// by slot·instances). On the State the broadcast arc is exactly one
+// target, its barrier cell, standing for its 16 consumers in FanOut.
 func TestAppendConsumersMatchesMapping(t *testing.T) {
 	p := builtinFanoutProgram()
 	src := p.Blocks[0].Template(1)
@@ -107,8 +114,23 @@ func TestAppendConsumersMatchesMapping(t *testing.T) {
 			}
 			got := w.AppendConsumers(nil, core.Instance{Thread: 1, Ctx: slot*src.Instances + pctx})
 			if slot == 0 {
-				if sgot := s.AppendConsumers(nil, core.Instance{Thread: 1, Ctx: pctx}); !slices.Equal(sgot, want) {
-					t.Fatalf("State ctx %d: %v, want %v", pctx, sgot, want)
+				var swant []core.Instance
+				for _, a := range src.Arcs {
+					if _, ok := a.Map.(core.OneToAll); ok {
+						swant = append(swant, core.Instance{Thread: s.barrierBase, Ctx: 0})
+						continue
+					}
+					cInst := p.Blocks[0].Template(a.To).Instances
+					for _, cc := range a.Map.AppendTargets(nil, pctx, src.Instances, cInst) {
+						swant = append(swant, core.Instance{Thread: a.To, Ctx: cc})
+					}
+				}
+				sgot := s.AppendConsumers(nil, core.Instance{Thread: 1, Ctx: pctx})
+				if !slices.Equal(sgot, swant) {
+					t.Fatalf("State ctx %d: %v, want %v", pctx, sgot, swant)
+				}
+				if n := s.FanOut(sgot); n != len(want) {
+					t.Fatalf("State ctx %d: FanOut = %d, want %d", pctx, n, len(want))
 				}
 			}
 			if !slices.Equal(got, want) {

@@ -30,7 +30,10 @@ import (
 //     targets a consumer of the current Block; that consumer must fire,
 //     execute and have its own completion counted before remaining can
 //     reach zero, and Complete ships its cross-shard batches before
-//     counting the producer's completion. The kernel that processes the
+//     counting the producer's completion. A barrier cell is no exception:
+//     while one is pending, its consumers (at least two) have not fired,
+//     and the decrements its release routes from a Step are shipped
+//     before that Step returns. The kernel that processes the
 //     Inlet or Outlet may therefore mutate the global block state (load
 //     and clear the SMs) without coordinating with the other shards.
 //
@@ -157,27 +160,94 @@ func (ln *Lane) Shard() int { return ln.sh }
 // the Post-Processing Phase, sharded. targets is the consumer expansion
 // (AppendConsumers). Decrements owned by the lane's own shard are applied
 // in place; the rest are batched into the owning shards' inboxes (waking
-// them via notify). Newly fired instances — of this shard — are appended to
-// dst; fires in other shards surface from their steppers' Step calls. The
-// final Outlet's completion returns programDone.
+// them via notify). A barrier cell has one owner shard: each producer
+// sends it one decrement, and the shard that takes it to zero releases
+// its consumers the same way. Newly fired instances — of this shard — are
+// appended to dst; fires in other shards surface from their steppers'
+// Step calls. The final Outlet's completion returns programDone.
 func (ln *Lane) Complete(dst []Ready, inst core.Instance, targets []core.Instance) (ready []Ready, programDone bool) {
-	ss := ln.ss
-	s := ss.s
 	for _, tgt := range targets {
-		info := &s.infos[tgt.Thread]
-		ko := s.locate(info, tgt.Ctx, &ln.searchSteps)
-		so := ss.shardOfKernel[int(ko)]
-		if so == ln.sh {
-			if ln.applyDec(info, ko, tgt) {
-				dst = append(dst, Ready{Inst: tgt, Kernel: ko})
-			}
-		} else {
-			ln.route[so] = append(ln.route[so], tgt)
-		}
+		dst = ln.send(dst, tgt)
 	}
 	// Ship the cross-shard batches before counting this completion: the
 	// outlet-safety invariant needs every decrement deposited before the
 	// Done that could drain the Block.
+	ln.ship(inst)
+	return ln.done(dst, inst)
+}
+
+// Step drains the lane's shard inbox and applies the pending cross-shard
+// decrements, appending instances that fire to dst. Non-stepper lanes
+// return dst unchanged. Call it at step boundaries: before blocking for
+// work and after executing an instance.
+func (ln *Lane) Step(dst []Ready) []Ready {
+	if ln.sh < 0 {
+		return dst
+	}
+	s := ln.ss.s
+	inbox := ln.ss.inboxes[ln.sh]
+	ln.drain = inbox.Drain(ln.drain[:0])
+	for _, rec := range ln.drain {
+		for _, tgt := range rec.Targets {
+			info := s.info(tgt.Thread)
+			// The producer already charged the location lookup; the
+			// owner derivation here is the free TKT form.
+			dst = ln.apply(dst, info, s.kernelOfInfo(info, tgt.Ctx), tgt)
+		}
+		inbox.ReleaseTargets(rec.Targets)
+		// A barrier this record released may have routed consumers.
+		ln.ship(rec.Inst)
+	}
+	return dst
+}
+
+// send applies one decrement in place when the target's SM belongs to the
+// lane's shard, and queues it for the owning shard's inbox otherwise.
+func (ln *Lane) send(dst []Ready, tgt core.Instance) []Ready {
+	s := ln.ss.s
+	info := s.info(tgt.Thread)
+	ko := s.locate(info, tgt.Ctx, &ln.searchSteps)
+	if so := ln.ss.shardOfKernel[int(ko)]; so != ln.sh {
+		ln.route[so] = append(ln.route[so], tgt)
+		return dst
+	}
+	return ln.apply(dst, info, ko, tgt)
+}
+
+// apply decrements one Ready Count in the lane's own shard and appends the
+// target to dst if it fires; a barrier cell that reaches zero sends each
+// of its consumers one decrement instead. Only the shard's stepper reaches
+// here, so the write is unsynchronized by design.
+func (ln *Lane) apply(dst []Ready, info *tmplInfo, ko KernelID, tgt core.Instance) []Ready {
+	s := ln.ss.s
+	if info.block != s.curBlock || !s.loaded {
+		panic(fmt.Sprintf("tsu: sharded decrement of %v but block %d is loaded", tgt, s.curBlock))
+	}
+	c := s.countAddr(info, ko, tgt.Ctx)
+	*c--
+	ln.decrements++
+	if *c < 0 {
+		panic(fmt.Sprintf("tsu: ready count of %v went negative", tgt))
+	}
+	if *c != 0 {
+		return dst
+	}
+	if s.isBarrier(tgt.Thread) {
+		a := &info.arcs[0]
+		for cc := core.Context(0); cc < a.cInst; cc++ {
+			dst = ln.send(dst, core.Instance{Thread: a.to, Ctx: cc})
+		}
+		return dst
+	}
+	ln.fired[int(ko)]++
+	return append(dst, Ready{Inst: tgt, Kernel: ko})
+}
+
+// ship deposits the queued cross-shard decrements into their owning
+// shards' inboxes, one record per shard labelled with inst, and wakes the
+// owners.
+func (ln *Lane) ship(inst core.Instance) {
+	ss := ln.ss
 	for so := range ln.route {
 		if len(ln.route[so]) == 0 {
 			continue
@@ -191,52 +261,6 @@ func (ln *Lane) Complete(dst []Ready, inst core.Instance, targets []core.Instanc
 			ss.notify(so)
 		}
 	}
-	return ln.done(dst, inst)
-}
-
-// Step drains the lane's shard inbox and applies the pending cross-shard
-// decrements, appending instances that fire to dst. Non-stepper lanes
-// return dst unchanged. Call it at step boundaries: before blocking for
-// work and after executing an instance.
-func (ln *Lane) Step(dst []Ready) []Ready {
-	if ln.sh < 0 {
-		return dst
-	}
-	inbox := ln.ss.inboxes[ln.sh]
-	ln.drain = inbox.Drain(ln.drain[:0])
-	for _, rec := range ln.drain {
-		for _, tgt := range rec.Targets {
-			info := &ln.ss.s.infos[tgt.Thread]
-			// The producer already charged the location lookup; the
-			// owner derivation here is the free TKT form.
-			ko := ln.ss.s.kernelOfInfo(info, tgt.Ctx)
-			if ln.applyDec(info, ko, tgt) {
-				dst = append(dst, Ready{Inst: tgt, Kernel: ko})
-			}
-		}
-		inbox.ReleaseTargets(rec.Targets)
-	}
-	return dst
-}
-
-// applyDec decrements one Ready Count in the lane's own shard. Only the
-// shard's stepper reaches here, so the write is unsynchronized by design.
-func (ln *Lane) applyDec(info *tmplInfo, ko KernelID, tgt core.Instance) bool {
-	s := ln.ss.s
-	if info.block != s.curBlock || !s.loaded {
-		panic(fmt.Sprintf("tsu: sharded decrement of %v but block %d is loaded", tgt, s.curBlock))
-	}
-	c := s.countAddr(info, ko, tgt.Ctx)
-	*c--
-	ln.decrements++
-	if *c < 0 {
-		panic(fmt.Sprintf("tsu: ready count of %v went negative", tgt))
-	}
-	if *c == 0 {
-		ln.fired[int(ko)]++
-		return true
-	}
-	return false
 }
 
 // done accounts the completion itself: atomically for application

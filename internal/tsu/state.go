@@ -32,9 +32,13 @@ type Result struct {
 
 // Stats counts TSU activity; retrieved once the program finishes.
 type Stats struct {
-	Inlets     int   // Inlet DThreads executed (one per block)
-	Outlets    int   // Outlet DThreads executed (one per block)
-	Decrements int64 // Ready Count decrements performed
+	Inlets  int // Inlet DThreads executed (one per block)
+	Outlets int // Outlet DThreads executed (one per block)
+	// Decrements counts the Ready Count updates the SMs performed. A
+	// broadcast arc compiled into a barrier cell costs P + C of them for
+	// P producers and C consumers (P into the cell, one per consumer when
+	// it releases), not the P×C of per-consumer expansion.
+	Decrements int64
 	Fired      int64 // application instances that became ready
 	PerKernel  []int64
 }
@@ -101,6 +105,8 @@ func appendConsumers(dst []core.Instance, arcs []flatArc, pctx, pInst, slot core
 // tmplInfo caches the immutable per-template tables the kernels consult
 // concurrently (the "Local TSU" state). It lives in a dense slice indexed
 // directly by ThreadID, so every hot-path lookup is one array access.
+// Barrier cells reuse it as one-context templates with no body and a
+// single arc to the consumers they release.
 type tmplInfo struct {
 	t        *core.Template
 	body     core.Body
@@ -120,12 +126,10 @@ type tmplInfo struct {
 	perKernel []int32
 }
 
-// State is the synchronization engine of the TSU Group. It is not safe for
-// concurrent mutation: one driver (the software TSU emulator, the Cell PPE
-// loop, or the simulated hardware device) serializes Decrement/Done calls.
-// AppendConsumers, KernelOf and IsService only read immutable tables and
-// may be called from any goroutine.
-type State struct {
+// compiled is the immutable half of a State: the tables NewStateCfg
+// builds once per program and kernel count. Tables freezes one and shares
+// it among many States.
+type compiled struct {
 	prog    *core.Program
 	kernels int
 
@@ -139,9 +143,27 @@ type State struct {
 	// space: inlet(b) = serviceBase + 2b, outlet(b) = serviceBase + 2b+1.
 	serviceBase core.ThreadID
 
+	// Barrier cells are numbered above the Inlet/Outlet IDs: barrier i is
+	// thread barrierBase + i, its metadata barriers[i] (see compileBarriers).
+	barrierBase core.ThreadID
+	barriers    []tmplInfo
+
+	// entries[b] lists the IDs of block b's SM entries in dense order: the
+	// block's templates, then its barrier cells.
+	entries [][]core.ThreadID
+
 	// mapping is the configured context→kernel policy; nil selects the
 	// closed-form chunked range split (the paper's TKT arithmetic).
 	mapping Mapping
+}
+
+// State is the synchronization engine of the TSU Group. It is not safe for
+// concurrent mutation: one driver (the software TSU emulator, the Cell PPE
+// loop, or the simulated hardware device) serializes DecrementInto/Done
+// calls. AppendConsumers, KernelOf and IsService only read immutable
+// tables and may be called from any goroutine.
+type State struct {
+	compiled
 
 	// tables is set when the State was built over a frozen Tables: block
 	// loads restore the SMs from the snapshot instead of recomputing
@@ -175,8 +197,16 @@ func (s *State) SetLinearSMSearch(on bool) { s.linearSearch = on }
 // lookup with the TKT; up to Kernels per lookup without it).
 func (s *State) SearchSteps() int64 { return s.searchSteps }
 
-// info returns the dense thread-table entry for an application thread ID.
-func (s *State) info(id core.ThreadID) *tmplInfo { return &s.infos[id] }
+// info returns the table entry of an application thread or barrier cell.
+func (s *State) info(id core.ThreadID) *tmplInfo {
+	if id < s.serviceBase {
+		return &s.infos[id]
+	}
+	return &s.barriers[id-s.barrierBase]
+}
+
+// isBarrier reports whether id names a barrier cell.
+func (s *State) isBarrier(id core.ThreadID) bool { return id >= s.barrierBase }
 
 // locate returns the kernel whose SM holds the instance. With Thread
 // Indexing this is a direct TKT computation; in the ablation it probes
@@ -205,7 +235,7 @@ func (s *State) owns(info *tmplInfo, k KernelID, ctx core.Context) bool {
 	if info.owner != nil {
 		return info.owner[ctx] == k
 	}
-	lo, hi := s.ownedRange(info.t, k)
+	lo, hi := s.ownedRange(info, k)
 	return ctx >= lo && ctx < hi
 }
 
@@ -287,11 +317,14 @@ func NewStateSized(p *core.Program, kernels int, maxBlockInstances int64) (*Stat
 		return nil, fmt.Errorf("tsu: thread ID space is too sparse (max ID %d for %d templates); renumber thread IDs densely", maxID, nTmpl)
 	}
 	s := &State{
-		prog:        p,
-		kernels:     kernels,
-		infos:       make([]tmplInfo, maxID+1),
-		serviceBase: maxID + 1,
-		curBlock:    -1,
+		compiled: compiled{
+			prog:        p,
+			kernels:     kernels,
+			infos:       make([]tmplInfo, maxID+1),
+			serviceBase: maxID + 1,
+			barrierBase: maxID + 1 + core.ThreadID(2*len(p.Blocks)),
+		},
+		curBlock: -1,
 	}
 	s.stats.PerKernel = make([]int64, kernels)
 	for bi, b := range p.Blocks {
@@ -321,8 +354,74 @@ func NewStateSized(p *core.Program, kernels int, maxBlockInstances int64) (*Stat
 			s.infos[t.ID].arcs = arcs
 		}
 	}
+	s.compileBarriers()
 	s.sms = make([]sm, kernels)
 	return s, nil
+}
+
+// compileBarriers turns every broadcast (core.OneToAll) arc whose P
+// producers and C consumers satisfy P·C > P + C into a barrier cell: a
+// one-context SM entry with Ready Count P that the producers decrement in
+// place of the consumers, and that decrements each consumer once when it
+// reaches zero. The consumers' Ready Counts then carry 1 for the arc
+// instead of P, so the phase barrier costs P + C updates rather than P×C,
+// and every consumer still fires inside the completion of the last
+// producer, in consumer order — the same ready order as the expanded
+// form. Smaller broadcasts (a 1→C fork, a 2×2 exchange) gain nothing and
+// stay expanded. The cell lives in the SM of the kernel owning consumer
+// context 0. It also fills entries.
+func (s *State) compileBarriers() {
+	s.entries = make([][]core.ThreadID, len(s.prog.Blocks))
+	for bi, b := range s.prog.Blocks {
+		ids := make([]core.ThreadID, 0, len(b.Templates))
+		for _, t := range b.Templates {
+			ids = append(ids, t.ID)
+		}
+		for _, t := range b.Templates {
+			info := &s.infos[t.ID]
+			for ai := range info.arcs {
+				a := &info.arcs[ai]
+				if _, ok := a.m.(core.OneToAll); !ok {
+					continue
+				}
+				if p, c := int64(info.inst), int64(a.cInst); p*c <= p+c {
+					continue
+				}
+				id := s.barrierBase + core.ThreadID(len(s.barriers))
+				s.barriers = append(s.barriers, tmplInfo{
+					arcs:     []flatArc{*a},
+					inst:     1,
+					affinity: int(s.kernelOfInfo(&s.infos[a.to], 0)),
+					dense:    len(ids),
+					block:    bi,
+				})
+				ids = append(ids, id)
+				*a = flatArc{to: id, m: core.AllToOne{Target: 0}, cInst: 1}
+			}
+		}
+		s.entries[bi] = ids
+	}
+}
+
+// inDegrees computes the initial Ready Count of every SM entry of block
+// blk, indexed by dense entry then context: the in-degrees of the
+// compiled arcs, so a barrier's consumers count the cell once.
+func (s *State) inDegrees(blk int) [][]int32 {
+	ids := s.entries[blk]
+	deg := make([][]int32, len(ids))
+	for di, id := range ids {
+		deg[di] = make([]int32, s.info(id).inst)
+	}
+	for _, id := range ids {
+		p := s.info(id)
+		for _, a := range p.arcs {
+			d := deg[s.info(a.to).dense]
+			for c := range d {
+				d[c] += int32(a.m.InDegree(core.Context(c), p.inst, a.cInst))
+			}
+		}
+	}
+	return deg
 }
 
 // Kernels returns the number of kernels the TKT distributes over.
@@ -336,7 +435,9 @@ func (s *State) OutletID(b int) core.ThreadID { return s.serviceBase + core.Thre
 
 // IsService reports whether inst is a synthesized Inlet or Outlet DThread
 // rather than an application thread.
-func (s *State) IsService(inst core.Instance) bool { return inst.Thread >= s.serviceBase }
+func (s *State) IsService(inst core.Instance) bool {
+	return inst.Thread >= s.serviceBase && inst.Thread < s.barrierBase
+}
 
 // ServiceName names a service instance for stats and traces.
 func (s *State) ServiceName(inst core.Instance) string {
@@ -374,21 +475,21 @@ func (s *State) kernelOfInfo(info *tmplInfo, ctx core.Context) KernelID {
 	return KernelID(uint64(ctx) * uint64(s.kernels) / uint64(info.inst))
 }
 
-// ownedRange returns the context interval [lo, hi) of template t owned by
-// kernel k under the chunked TKT assignment.
-func (s *State) ownedRange(t *core.Template, k KernelID) (lo, hi core.Context) {
-	if t.Affinity >= 0 {
-		if KernelID(t.Affinity%s.kernels) == k {
-			return 0, t.Instances
+// ownedRange returns the context interval [lo, hi) of an SM entry owned
+// by kernel k under the chunked TKT assignment.
+func (s *State) ownedRange(info *tmplInfo, k KernelID) (lo, hi core.Context) {
+	if info.affinity >= 0 {
+		if KernelID(info.affinity%s.kernels) == k {
+			return 0, info.inst
 		}
 		return 0, 0
 	}
-	n := uint64(t.Instances)
+	n := uint64(info.inst)
 	kk := uint64(s.kernels)
 	lo = core.Context((uint64(k)*n + kk - 1) / kk)
 	hi = core.Context(((uint64(k)+1)*n + kk - 1) / kk)
-	if hi > t.Instances {
-		hi = t.Instances
+	if hi > info.inst {
+		hi = info.inst
 	}
 	if lo > hi {
 		lo = hi
@@ -422,10 +523,15 @@ func (s *State) Start() Ready {
 	return Ready{Inst: core.Instance{Thread: s.InletID(0), Ctx: 0}, Kernel: 0}
 }
 
-// AppendConsumers appends the consumer instances enabled by the completion
-// of inst (the arc-expansion half of the Post-Processing Phase). It reads
-// only immutable tables and is safe to call from any kernel. Service
-// instances have no consumers.
+// AppendConsumers appends the decrement targets of the completion of inst
+// (the arc-expansion half of the Post-Processing Phase): each consumer
+// instance of its arcs, except that a broadcast arc compiled into a
+// barrier cell (compileBarriers) contributes the one cell instead of its C
+// consumers. The targets are meant for DecrementInto or Lane.Complete,
+// which release a barrier's consumers when its count reaches zero; use
+// FanOut for the per-consumer update count they stand for. It reads only
+// immutable tables and is safe to call from any kernel. Service instances
+// have no consumers.
 func (s *State) AppendConsumers(dst []core.Instance, inst core.Instance) []core.Instance {
 	if s.IsService(inst) {
 		return dst
@@ -434,30 +540,60 @@ func (s *State) AppendConsumers(dst []core.Instance, inst core.Instance) []core.
 	return appendConsumers(dst, info.arcs, inst.Ctx, info.inst, 0)
 }
 
-// Decrement decreases the Ready Count of target by one and reports whether
-// the instance became executable. Only the single TSU driver may call it.
-// A decrement below zero means the Synchronization Graph was corrupted and
-// panics: Validate makes this unreachable for well-formed programs.
-func (s *State) Decrement(target core.Instance) bool {
-	_, fired := s.dec(target)
-	return fired
+// FanOut returns the number of consumer Ready Count updates the targets of
+// one AppendConsumers expansion stand for when every arc is expanded per
+// consumer, as in the paper's Post-Processing Phase: one per target, C per
+// barrier cell.
+func (s *State) FanOut(targets []core.Instance) int {
+	n := 0
+	for _, tgt := range targets {
+		if s.isBarrier(tgt.Thread) {
+			n += int(s.info(tgt.Thread).arcs[0].cInst)
+		} else {
+			n++
+		}
+	}
+	return n
 }
 
-// DecrementInto applies Decrement and, when the target fires, appends it to
-// dst as a Ready with its TKT owner resolved — the batch-building form the
-// drivers use to collect a whole Post-Processing Phase without per-target
-// allocations.
+// DecrementInto decreases the Ready Count of target by one and, when the
+// instance becomes executable, appends it to dst as a Ready with its TKT
+// owner resolved — the batch-building form the drivers use to collect a
+// whole Post-Processing Phase without per-target allocations. When target
+// is a barrier cell that reaches zero, each of its consumers is
+// decremented in turn and the ones that fire are appended in consumer
+// order. Only the single TSU driver may call it. A decrement below zero
+// means the Synchronization Graph was corrupted and panics: Validate makes
+// this unreachable for well-formed programs.
 func (s *State) DecrementInto(dst []Ready, target core.Instance) []Ready {
-	if k, fired := s.dec(target); fired {
+	if !s.isBarrier(target.Thread) {
+		return s.decInto(dst, &s.infos[target.Thread], target)
+	}
+	b := s.info(target.Thread)
+	if _, open := s.dec(b, target); open {
+		a := &b.arcs[0]
+		ci := &s.infos[a.to]
+		for c := core.Context(0); c < a.cInst; c++ {
+			dst = s.decInto(dst, ci, core.Instance{Thread: a.to, Ctx: c})
+		}
+	}
+	return dst
+}
+
+// decInto decrements one application instance and appends it to dst when
+// it fires.
+func (s *State) decInto(dst []Ready, info *tmplInfo, target core.Instance) []Ready {
+	if k, fired := s.dec(info, target); fired {
+		s.stats.Fired++
+		s.stats.PerKernel[int(k)]++
 		dst = append(dst, Ready{Inst: target, Kernel: k})
 	}
 	return dst
 }
 
-// dec performs one Ready Count decrement and returns the owning kernel plus
-// whether the target fired.
-func (s *State) dec(target core.Instance) (KernelID, bool) {
-	info := &s.infos[target.Thread]
+// dec performs one Ready Count decrement of an SM entry and returns the
+// owning kernel plus whether the count reached zero.
+func (s *State) dec(info *tmplInfo, target core.Instance) (KernelID, bool) {
 	if info.block != s.curBlock || !s.loaded {
 		panic(fmt.Sprintf("tsu: decrement of %v but block %d is loaded", target, s.curBlock))
 	}
@@ -468,12 +604,7 @@ func (s *State) dec(target core.Instance) (KernelID, bool) {
 	if *c < 0 {
 		panic(fmt.Sprintf("tsu: ready count of %v went negative", target))
 	}
-	if *c == 0 {
-		s.stats.Fired++
-		s.stats.PerKernel[int(k)]++
-		return k, true
-	}
-	return k, false
+	return k, *c == 0
 }
 
 // countAddr returns the Ready Count cell of ctx within kernel k's SM:
@@ -549,15 +680,16 @@ func (s *State) inletDone(dst []Ready, blk int) []Ready {
 	if s.tables != nil {
 		return s.inletLoadSnapshot(dst, blk)
 	}
-	b := s.prog.Blocks[blk]
-	s.remaining = b.TotalInstances()
+	s.remaining = s.prog.Blocks[blk].TotalInstances()
+	ids := s.entries[blk]
+	degs := s.inDegrees(blk)
 	for k := range s.sms {
-		s.sms[k].counts = make([][]int32, len(b.Templates))
-		s.sms[k].base = make([]core.Context, len(b.Templates))
+		s.sms[k].counts = make([][]int32, len(ids))
+		s.sms[k].base = make([]core.Context, len(ids))
 	}
-	for di, t := range b.Templates {
-		info := &s.infos[t.ID]
-		deg := core.InDegrees(b, t)
+	for di, id := range ids {
+		info := s.info(id)
+		deg := degs[di]
 		if info.owner != nil {
 			// Table mapping: ownership may be non-contiguous, so each
 			// kernel's slice is slot-indexed (countAddr) rather than
@@ -567,28 +699,26 @@ func (s *State) inletDone(dst []Ready, blk int) []Ready {
 					s.sms[k].counts[di] = make([]int32, n)
 				}
 			}
-			for c := core.Context(0); c < t.Instances; c++ {
-				s.sms[info.owner[c]].counts[di][info.slot[c]] = int32(deg[c])
+			for c := core.Context(0); c < info.inst; c++ {
+				s.sms[info.owner[c]].counts[di][info.slot[c]] = deg[c]
 			}
 		} else {
 			for k := 0; k < s.kernels; k++ {
-				lo, hi := s.ownedRange(t, KernelID(k))
+				lo, hi := s.ownedRange(info, KernelID(k))
 				s.sms[k].base[di] = lo
 				if hi > lo {
-					cnt := make([]int32, hi-lo)
-					for c := lo; c < hi; c++ {
-						cnt[c-lo] = int32(deg[c])
-					}
-					s.sms[k].counts[di] = cnt
+					s.sms[k].counts[di] = append([]int32(nil), deg[lo:hi]...)
 				}
 			}
 		}
-		for c := core.Context(0); c < t.Instances; c++ {
+		// A barrier cell waits for P ≥ 2 producers, so every source is
+		// an application instance.
+		for c := core.Context(0); c < info.inst; c++ {
 			if deg[c] == 0 {
 				kc := s.kernelOfInfo(info, c)
 				s.stats.Fired++
 				s.stats.PerKernel[int(kc)]++
-				dst = append(dst, Ready{Inst: core.Instance{Thread: t.ID, Ctx: c}, Kernel: kc})
+				dst = append(dst, Ready{Inst: core.Instance{Thread: id, Ctx: c}, Kernel: kc})
 			}
 		}
 	}

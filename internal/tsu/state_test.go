@@ -202,7 +202,7 @@ func TestTKTChunkedAssignment(t *testing.T) {
 	}
 	covered := core.Context(0)
 	for k := 0; k < s.Kernels(); k++ {
-		lo, hi := s.ownedRange(work, KernelID(k))
+		lo, hi := s.ownedRange(s.info(2), KernelID(k))
 		if lo != covered {
 			t.Fatalf("kernel %d range starts at %d, want %d", k, lo, covered)
 		}
@@ -234,11 +234,11 @@ func TestTKTAffinityPinning(t *testing.T) {
 			t.Fatalf("KernelOf(ctx %d) = %d, want 2", c, k)
 		}
 	}
-	lo, hi := s.ownedRange(tpl, 2)
+	lo, hi := s.ownedRange(s.info(1), 2)
 	if lo != 0 || hi != 6 {
 		t.Fatalf("ownedRange(pinned, 2) = [%d,%d), want [0,6)", lo, hi)
 	}
-	if lo, hi := s.ownedRange(tpl, 1); lo != hi {
+	if lo, hi := s.ownedRange(s.info(1), 1); lo != hi {
 		t.Fatalf("ownedRange(pinned, 1) = [%d,%d), want empty", lo, hi)
 	}
 }
@@ -294,7 +294,7 @@ func TestDecrementPanicsOnUnderflow(t *testing.T) {
 		}
 	}()
 	// src has ready count 0; decrementing it underflows.
-	s.Decrement(core.Instance{Thread: 1})
+	s.DecrementInto(nil, core.Instance{Thread: 1})
 }
 
 func TestServiceBodyIsNoop(t *testing.T) {

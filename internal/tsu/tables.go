@@ -19,12 +19,8 @@ import (
 // mutable SM half (current block, remaining count, per-kernel counts,
 // stats).
 type Tables struct {
-	prog        *core.Program
-	kernels     int
-	mapping     Mapping
-	infos       []tmplInfo
-	serviceBase core.ThreadID
-	snaps       []blockSnap
+	compiled
+	snaps []blockSnap
 
 	// free is a capped pool of Reset States for Acquire/Release; the
 	// mutex only guards the pool, never the tables themselves.
@@ -38,11 +34,13 @@ const maxPooledStates = 16
 
 // blockSnap is the frozen initial SM image of one DDM Block: exactly the
 // counts, bases and source instances inletDone computes, captured once.
+// Barrier cells are SM entries like any other, so a block load resets
+// them with the rest.
 type blockSnap struct {
-	total     int64
-	templates int
+	total   int64
+	entries int
 	// counts[k][di] and base[k][di] are kernel k's initial Ready Count
-	// slice and first-owned-context base for dense template di.
+	// slice and first-owned-context base for dense SM entry di.
 	counts [][][]int32
 	base   [][]core.Context
 	// sources are the Ready-Count-zero instances the Inlet surfaces, in
@@ -61,12 +59,8 @@ func NewTables(p *core.Program, kernels int, cfg Config) (*Tables, error) {
 		return nil, err
 	}
 	t := &Tables{
-		prog:        proto.prog,
-		kernels:     proto.kernels,
-		mapping:     proto.mapping,
-		infos:       proto.infos,
-		serviceBase: proto.serviceBase,
-		snaps:       make([]blockSnap, len(p.Blocks)),
+		compiled: proto.compiled,
+		snaps:    make([]blockSnap, len(p.Blocks)),
 	}
 	// Drive the prototype's own inletDone through the blocks so the
 	// snapshots are the load path's output by construction, not a
@@ -75,7 +69,7 @@ func NewTables(p *core.Program, kernels int, cfg Config) (*Tables, error) {
 		sources := proto.inletDone(nil, bi)
 		sn := &t.snaps[bi]
 		sn.total = proto.remaining
-		sn.templates = len(p.Blocks[bi].Templates)
+		sn.entries = len(proto.entries[bi])
 		sn.counts = make([][][]int32, kernels)
 		sn.base = make([][]core.Context, kernels)
 		for k := range proto.sms {
@@ -116,14 +110,10 @@ func (t *Tables) Kernels() int { return t.kernels }
 // from the snapshot instead of recomputing in-degrees.
 func (t *Tables) NewState() *State {
 	s := &State{
-		prog:        t.prog,
-		kernels:     t.kernels,
-		infos:       t.infos,
-		serviceBase: t.serviceBase,
-		mapping:     t.mapping,
-		tables:      t,
-		curBlock:    -1,
-		sms:         make([]sm, t.kernels),
+		compiled: t.compiled,
+		tables:   t,
+		curBlock: -1,
+		sms:      make([]sm, t.kernels),
 	}
 	s.stats.PerKernel = make([]int64, t.kernels)
 	return s
@@ -185,7 +175,7 @@ func (s *State) Reset() {
 func (s *State) inletLoadSnapshot(dst []Ready, blk int) []Ready {
 	sn := &s.tables.snaps[blk]
 	s.remaining = sn.total
-	nT := sn.templates
+	nT := sn.entries
 	for k := range s.sms {
 		m := &s.sms[k]
 		if cap(m.counts) >= nT {
